@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factor import factorize
-from .field import FieldElement, FieldHandle, embed_map
+from .field import FieldElement, FieldHandle
 from .poly import Poly
 
 
@@ -202,14 +202,12 @@ def specialize(op: LinearizedOperator, alpha: FieldElement) -> Poly:
     K = alpha.owner
     if K.p != base.p or K.s % base.s != 0:
         raise ValueError("alpha does not live in an extension of the base field")
-    table = embed_map(base, K)
     if op.is_zero():
         return Poly.zero(K)
     q = base.q
     keys = [0] * (q ** (len(op.coeffs) - 1) + 1)
     for i, c in enumerate(op.coeffs):
-        lifted = Poly(K, tuple(table[k] for k in c.keys))
-        keys[q ** i] = lifted.eval_k(alpha.key)
+        keys[q ** i] = c.lift(K).eval_k(alpha.key)
     return Poly(K, keys)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .field import FieldElement, FieldHandle, embed_map, make_field
+from .field import FieldElement, FieldHandle, preimage_keys
 from .poly import Poly
 
 _SPLIT_SEED = 0x5EED
@@ -231,7 +231,6 @@ def minimal_polynomial(alpha: FieldElement, base: FieldHandle) -> Poly:
     K = alpha.owner
     if K.p != base.p or K.s % base.s != 0:
         raise ValueError("alpha does not live in an extension of base")
-    table = embed_map(base, K)
     qb = base.q
     # Frobenius orbit of alpha over the base field
     orbit = [alpha.key]
@@ -242,10 +241,4 @@ def minimal_polynomial(alpha: FieldElement, base: FieldHandle) -> Poly:
     prod = Poly.one(K)
     for root in orbit:
         prod = prod * Poly(K, (K.neg_k(root), 1))
-    back = {v: i for i, v in enumerate(table)}
-    keys = []
-    for k in prod.keys:
-        if k not in back:
-            raise RuntimeError("minimal polynomial coefficient outside base field")
-        keys.append(back[k])
-    return Poly(base, keys)
+    return Poly(base, preimage_keys(base, K, prod.keys))

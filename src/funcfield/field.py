@@ -6,9 +6,13 @@ integer key sum(c_i * p**i).  The defining modulus of every field is chosen
 deterministically (lexicographically first monic irreducible polynomial from
 a seeded start), so all outputs are reproducible across runs and platforms.
 
-Small fields (q <= 200) lazily build full addition and multiplication tables
-over the integer keys; larger fields fall back to coordinate arithmetic.
-All values are immutable after construction and safe to share across threads.
+Small fields (q <= 200) build full addition, multiplication and inverse
+tables over the integer keys on first use; larger fields fall back to
+coordinate arithmetic.  The embedding between two fields is stored as one
+key, the image of the source generator, found on first use per field pair.
+Fields are safe to share across threads: concurrent first uses may each
+build the tables, and the inverse table, which marks a complete set, is
+published last.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ _SEARCH_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over GF(p) on little-endian int tuples.  Only used to
-# define field representations and coordinate arithmetic; public polynomial
-# arithmetic over arbitrary fields lives in funcfield.poly.
+# Polynomial arithmetic over GF(p) on little-endian int tuples.  Only used for
+# coordinate arithmetic; public polynomial arithmetic over arbitrary fields,
+# and the irreducibility test that picks moduli, live in funcfield.poly and
+# funcfield.factor.
 
 def _pp_trim(c):
     n = len(c)
@@ -84,16 +89,6 @@ def _pp_mod(a, b, p):
     return _pp_divmod(a, b, p)[1]
 
 
-def _pp_gcd(a, b, p):
-    a, b = _pp_trim(a), _pp_trim(b)
-    while b:
-        a, b = b, _pp_mod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p) if p > 2 else a[-1]
-        a = tuple((v * inv_lead) % p for v in a)
-    return a
-
-
 def _pp_ext_gcd(a, b, p):
     # returns (g, u, v) with u*a + v*b = g, g monic
     r0, r1 = _pp_trim(a), _pp_trim(b)
@@ -109,54 +104,6 @@ def _pp_ext_gcd(a, b, p):
         scale = lambda c: tuple((v * inv_lead) % p for v in c)
         return scale(r0), scale(s0), scale(t0)
     return r0, s0, t0
-
-
-def _pp_powmod(base, e, mod, p):
-    result = (1,)
-    base = _pp_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), mod, p)
-        base = _pp_mod(_pp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _pp_is_irreducible(f, p):
-    """Rabin test for a monic polynomial over GF(p)."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    # z**(p**n) must reduce to z mod f
-    h = x
-    for _ in range(n):
-        h = _pp_powmod(h, p, f, p)
-    if _pp_trim(_pp_sub(h, x, p)):
-        return False
-    for ell in _prime_divisors(n):
-        h = x
-        for _ in range(n // ell):
-            h = _pp_powmod(h, p, f, p)
-        if _pp_gcd(_pp_sub(h, x, p), f, p) != (1,):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +164,6 @@ class FieldHandle:
             raise ValueError(f"key {key} out of range for {self!r}")
         return FieldElement(self, key)
 
-    def from_coords(self, coords) -> "FieldElement":
-        coords = tuple(c % self.p for c in coords)
-        if len(coords) != self.s:
-            raise ValueError(f"need {self.s} coordinates for {self!r}")
-        return FieldElement(self, self.key_of(coords))
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
 
@@ -264,17 +205,19 @@ class FieldHandle:
                         + (0,) * self.s)
                     mul[row + b] = m_key
                     mul[b * q + a] = m_key
-        # publish add/mul first so inverse computation can use them
-        self._add_table, self._mul_table = add, mul
         inv = [0] * q
         for a in range(1, q):
-            inv[a] = self._inv_k_generic(a)
+            row = a * q
+            inv[a] = mul.index(1, row, row + q) - row
+        # the inverse table goes last: _ensure_tables tests it, so a thread
+        # that sees it published also sees the other two
+        self._add_table, self._mul_table = add, mul
         self._inv_table = inv
 
     def _ensure_tables(self):
-        if self._add_table is None and self.q <= _TABLE_LIMIT:
+        if self._inv_table is None and self.q <= _TABLE_LIMIT:
             self._build_tables()
-        return self._add_table is not None
+        return self._inv_table is not None
 
     def add_k(self, a: int, b: int) -> int:
         if self._add_table is not None or self._ensure_tables():
@@ -437,80 +380,114 @@ def make_field(p: int, s: int, seed: int = 0) -> FieldHandle:
         raise ValueError(f"{p} is not prime")
     if s < 1:
         raise ValueError("extension degree must be >= 1")
+    if s == 1:
+        # every monic linear polynomial is irreducible; this also ends the
+        # recursion through the prime field the scan below tests over
+        return FieldHandle(p, 1, (seed % p, 1))
+
+    from .factor import is_irreducible
+    from .poly import Poly
+
+    prime = make_field(p, 1, 0)
     space = p ** s
     start = seed % space
-    budget = min(space, _SEARCH_CAP)
-    for step in range(budget):
-        n = (start + step) % space
+    for step in range(min(space, _SEARCH_CAP)):
+        m = (start + step) % space
         coords = []
-        m = n
         for _ in range(s):
             m, r = divmod(m, p)
             coords.append(r)
         candidate = tuple(coords) + (1,)
-        if _pp_is_irreducible(candidate, p):
+        if is_irreducible(Poly(prime, candidate)):
             return FieldHandle(p, s, candidate)
     raise RuntimeError("no irreducible modulus found within search budget")
 
 
 # ---------------------------------------------------------------------------
-# Embeddings between compatible fields.
-
-_EMBED_CACHE: dict[tuple, tuple[int, ...]] = {}
-
-
-def _field_sig(f: FieldHandle):
-    return (f.p, f.s, f.modulus)
+# Embeddings between compatible fields.  The fixed embedding src -> tgt is
+# GF(p)-linear, so it is stored as one key of tgt: beta, the image of the
+# source generator.  Only the functions below read it.
 
 
-def embed_map(src: FieldHandle, tgt: FieldHandle) -> tuple[int, ...]:
-    """Key-indexed table of the fixed embedding src -> tgt.
+@functools.lru_cache(maxsize=None)
+def embed_map(src: FieldHandle, tgt: FieldHandle) -> int:
+    """Key of beta, the image of src's generator under the fixed embedding.
 
-    The embedding sends the source generator to the root of the source
-    modulus in the target with the least coordinate vector (lexicographic on
-    the rendered big-endian digit vector, which is plain numeric order on
-    keys).  Deterministic per ordered field pair.
+    beta is the root of the source modulus in the target with the least
+    coordinate vector (lexicographic on the rendered big-endian digit
+    vector, which is plain numeric order on keys); for src == tgt it is the
+    generator itself.  A source element with coordinates c_i maps to
+    sum c_i * beta**i.  Deterministic per ordered field pair.
     """
     if src.p != tgt.p:
         raise ValueError("incompatible characteristics")
     if tgt.s % src.s != 0:
         raise ValueError(f"no embedding GF({src.p}^{src.s}) -> GF({tgt.p}^{tgt.s})")
-    if src == tgt:
-        return tuple(range(src.q))
-    if src.s == 1:
-        # prime subfield constants carry the same key in every representation
-        return tuple(range(src.p))
-    sig = (_field_sig(src), _field_sig(tgt))
-    cached = _EMBED_CACHE.get(sig)
-    if cached is not None:
-        return cached
+    if src == tgt or src.s == 1:
+        # src == tgt: the identity.  A prime-field generator is a residue mod
+        # p, with the same key in every representation; roots_in below lifts
+        # a prime-field polynomial, so this case also ends the recursion
+        return src.gen().key
 
     from .factor import roots_in
     from .poly import Poly
 
-    prime = make_field(src.p, 1, 0)
-    mod_poly = Poly(prime, src.modulus)
-    roots = roots_in(mod_poly, tgt)
+    roots = roots_in(Poly(make_field(src.p, 1, 0), src.modulus), tgt)
     if not roots:
         raise RuntimeError("source modulus has no root in target field")
-    beta = roots[0].key  # least key, roots_in sorts canonically
+    return roots[0].key  # least key, roots_in sorts canonically
 
-    table = [0] * src.q
-    for key in range(src.q):
+
+def embed_keys(src: FieldHandle, tgt: FieldHandle, keys) -> tuple[int, ...]:
+    """Images in tgt of src element keys under the fixed embedding."""
+    beta = embed_map(src, tgt)
+    if src.s == 1:
+        return tuple(keys)
+    add_k, mul_k = tgt.add_k, tgt.mul_k
+    out = []
+    for key in keys:
         acc = 0
-        power = 1
-        for c in src.coords_of(key):
-            if c:
-                # residues mod p are exactly the prime-subfield keys of tgt
-                acc = tgt.add_k(acc, tgt.mul_k(c, power))
-            power = tgt.mul_k(power, beta)
-        table[key] = acc
-    result = tuple(table)
-    _EMBED_CACHE[sig] = result
-    return result
+        for c in reversed(src.coords_of(key)):
+            # residues mod p are exactly the prime-subfield keys of tgt
+            acc = add_k(mul_k(acc, beta), c)
+        out.append(acc)
+    return tuple(out)
+
+
+def preimage_keys(src: FieldHandle, tgt: FieldHandle, keys) -> tuple[int, ...]:
+    """Keys of src that the fixed embedding sends to the given keys of tgt.
+
+    The coordinates c of a preimage of y solve sum c_i * beta**i = y, a
+    linear system over GF(p) in the coordinates of tgt; all keys are solved
+    together by Gauss-Jordan elimination.  Raises ValueError for a key
+    outside the image of src.
+    """
+    keys = tuple(keys)
+    beta = embed_map(src, tgt)
+    p, s = src.p, src.s
+    powers = [1]
+    for _ in range(s - 1):
+        powers.append(tgt.mul_k(powers[-1], beta))
+    columns = [tgt.coords_of(k) for k in powers + list(keys)]
+    rows = [list(row) for row in zip(*columns)]
+    for col in range(s):
+        # beta generates src over GF(p), so the s power columns are independent
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        head = rows[col] = [v * inv % p for v in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                f = row[col]
+                rows[r] = [(v - f * h) % p for v, h in zip(row, head)]
+    out = []
+    for j, key in enumerate(keys, start=s):
+        if any(row[j] for row in rows[s:]):
+            raise ValueError(f"key {key} of {tgt!r} is not in the image of {src!r}")
+        out.append(src.key_of(row[j] for row in rows[:s]))
+    return tuple(out)
 
 
 def embed(e: FieldElement, target: FieldHandle) -> FieldElement:
     """Image of e under the fixed embedding of its field into target."""
-    table = embed_map(e.owner, target)
-    return FieldElement(target, table[e.key])
+    return FieldElement(target, embed_keys(e.owner, target, (e.key,))[0])

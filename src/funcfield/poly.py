@@ -10,7 +10,7 @@ The canonical text form lists coefficients ascending: ``c0 + c1*x + c2*x^2``.
 
 from __future__ import annotations
 
-from .field import FieldElement, FieldHandle, embed_map
+from .field import FieldElement, FieldHandle, embed_keys
 
 
 class Poly:
@@ -49,15 +49,6 @@ class Poly:
             return cls(field, ())
         return cls(field, (0,) * exponent + (key,))
 
-    @classmethod
-    def from_elements(cls, field, elements):
-        keys = []
-        for e in elements:
-            if e.owner != field:
-                raise ValueError("coefficient from a different field")
-            keys.append(e.key)
-        return cls(field, keys)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -82,9 +73,6 @@ class Poly:
         if not self.keys:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.keys[-1]
-
-    def coefficient_key(self, i: int) -> int:
-        return self.keys[i] if 0 <= i < len(self.keys) else 0
 
     def sort_key(self):
         """Canonical ordering: by degree, then big-endian coefficient keys."""
@@ -244,8 +232,7 @@ class Poly:
         """The same polynomial with coefficients embedded into target."""
         if target == self.field:
             return self
-        table = embed_map(self.field, target)
-        return Poly(target, tuple(table[k] for k in self.keys))
+        return Poly(target, embed_keys(self.field, target, self.keys))
 
     # -- comparisons and rendering ----------------------------------------------
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .factor import factorize, minimal_polynomial, roots_in
-from .field import FieldHandle, make_field
+from .field import FieldHandle, embed_keys, make_field
 from .genus import GenusResult, RamSummary, hurwitz
 from .intbounds import prime_power_decompose
 from .poly import Poly
@@ -188,13 +188,11 @@ class RationalMap:
         dn, dd = self.num.degree, self.den.degree
         if dn > dd:
             return None
-        from .field import embed_map
-        table = embed_map(self.field, ext)
         if dn < dd:
             return 0
         ratio = self.field.mul_k(self.num.leading_key(),
                                  self.field.inv_k(self.den.leading_key()))
-        return table[ratio]
+        return embed_keys(self.field, ext, (ratio,))[0]
 
     def value_at(self, ext: FieldHandle, key: int):
         """Projective value at a finite point, as a key of ext or None (= infinity)."""
@@ -290,8 +288,7 @@ def _solutions_for(f: RationalMap, h: RationalMap, beta: ProjPoint,
         out.append(ProjPoint.infinity(base))
     elif dn == dd:
         ratio = base.mul_k(h.num.leading_key(), base.inv_k(h.den.leading_key()))
-        from .field import embed_map
-        if embed_map(base, ext)[ratio] == value:
+        if embed_keys(base, ext, (ratio,))[0] == value:
             out.append(ProjPoint.infinity(base))
     return out
 

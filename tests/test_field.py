@@ -1,8 +1,14 @@
 import itertools
+import sys
+import threading
+import time
 
 import pytest
 
-from funcfield.field import FieldElement, embed, embed_map, make_field
+from funcfield.factor import minimal_polynomial
+from funcfield.field import (FieldElement, embed, embed_map, make_field,
+                             preimage_keys)
+from funcfield.poly import Poly
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
@@ -40,6 +46,61 @@ def test_make_field_deterministic_and_seed_sensitive():
     # a different seed starts the scan elsewhere but still yields irreducible
     F = make_field(2, 4, 7)
     assert len(F.modulus) == 5 and F.modulus[-1] == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_make_field_modulus_is_first_irreducible_by_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def irreducible(coeffs):
+        return sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+
+    for s in range(1, 7):
+        space = p ** s
+        for seed in (0, 17, 34):
+            modulus = make_field(p, s, seed).modulus
+            assert len(modulus) == s + 1 and modulus[-1] == 1
+            assert irreducible(modulus)
+            # every candidate scanned before it from the seeded start is reducible
+            n = seed % space
+            while True:
+                candidate = tuple((n // p ** i) % p for i in range(s)) + (1,)
+                if candidate == modulus:
+                    break
+                assert not irreducible(candidate)
+                n = (n + 1) % space
+
+
+def test_lazy_tables_safe_under_concurrent_first_use():
+    # each fresh field's tables are built by whichever of the threads gets
+    # there first; a thread must never see a half-published set
+    errors = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-3)
+    try:
+        for _ in range(5):
+            F = make_field.__wrapped__(3, 4, 0)
+            inverses = {}
+
+            def first_inverse(a):
+                try:
+                    inverses[a] = F.inv_k(a)
+                except Exception as exc:  # collected for the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=first_inverse, args=(a,))
+                       for a in range(1, 61)]
+            for t in threads:
+                t.start()
+                time.sleep(0.004)
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert all(F.mul_k(a, inv) == 1 for a, inv in inverses.items())
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -128,6 +189,11 @@ def test_embed_is_ring_homomorphism_exhaustive(src, tgt):
     for a, b in itertools.product(S.elements(), repeat=2):
         assert embed(a + b, T) == embed(a, T) + embed(b, T)
         assert embed(a * b, T) == embed(a, T) * embed(b, T)
+    images = [embed(a, T).key for a in S.elements()]
+    assert preimage_keys(S, T, images) == tuple(range(S.q))
+    outside = min(set(range(T.q)) - set(images))
+    with pytest.raises(ValueError):
+        preimage_keys(S, T, (outside,))
 
 
 def test_embed_injective():
@@ -141,3 +207,13 @@ def test_embed_map_deterministic():
     S = make_field(2, 2, 0)
     T = make_field(2, 4, 0)
     assert embed_map(S, T) == embed_map(S, T)
+
+
+def test_minimal_polynomial_through_large_source_field():
+    # |GF(31^7)| is about 2.75e10: neither direction of the embedding may
+    # enumerate the source field
+    start = time.perf_counter()
+    S, T = make_field(31, 7, 0), make_field(31, 14, 0)
+    gen = S.gen()
+    assert minimal_polynomial(embed(gen, T), S) == Poly(S, (S.neg_k(gen.key), 1))
+    assert time.perf_counter() - start < 10
