@@ -6,22 +6,28 @@ integer key sum(c_i * p**i).  The defining modulus of every field is chosen
 deterministically (lexicographically first monic irreducible polynomial from
 a seeded start), so all outputs are reproducible across runs and platforms.
 
-Small fields (q <= 200) build full addition, multiplication and inverse
-tables over the integer keys on first use; larger fields fall back to
-coordinate arithmetic.  The embedding between two fields is stored as one
-key, the image of the source generator, found on first use per field pair.
-Fields are safe to share across threads: concurrent first uses may each
-build the tables, and the inverse table, which marks a complete set, is
-published last.
+Prime fields use plain modular arithmetic.  Extension fields with
+q <= 2**16 build log/antilog tables over the keys in the constructor, in
+O(q) steps, against an internal primitive element g (the least key >= p of
+multiplicative order q - 1): a product is exp[log a + log b], and for odd p
+a sum is exp[log a + zech[log b - log a]] with the Zech logarithm
+zech[d] = log(1 + g**d); in characteristic 2 a sum is the XOR of the keys.
+The limit is the width of the 16-bit table entries.  Larger extension
+fields use coordinate arithmetic.  The embedding between two fields is
+stored as one key, the image of the source generator, found on first use
+per field pair.  A field never changes after its constructor returns, so
+it is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 
 from .intbounds import is_prime
 
-_TABLE_LIMIT = 200
+_TABLE_LIMIT = 1 << 16  # log/antilog/Zech entries are 16-bit ("H") values
+_NO_LOG = 0xFFFF        # Zech entry where 1 + g**d = 0, which has no log
 _SEARCH_CAP = 2_000_000
 
 
@@ -116,21 +122,24 @@ class FieldHandle:
     FieldElement wrapper provides operator syntax on top of them.
     """
 
-    __slots__ = ("p", "s", "modulus", "q", "_add_table", "_mul_table",
-                 "_inv_table", "_mod_int")
+    __slots__ = ("p", "s", "modulus", "q", "_exp", "_log", "_zech", "_mod_int")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
         self.s = s
         self.modulus = modulus
         self.q = p ** s
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
         # in characteristic 2 a key IS the GF(2)[t] bit polynomial
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
+        # the table build multiplies through the coordinate path, which
+        # mul_k takes while these are None
+        self._exp = self._log = self._zech = None
+        if s > 1 and self.q <= _TABLE_LIMIT:
+            self._exp, self._log, self._zech = self._log_tables()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FieldHandle):
             return NotImplemented
         return (self.p, self.s, self.modulus) == (other.p, other.s, other.modulus)
@@ -180,55 +189,103 @@ class FieldHandle:
         for key in range(self.q):
             yield FieldElement(self, key)
 
+    # -- log/antilog/Zech tables -------------------------------------------
+
+    def _primitive_key(self) -> int:
+        """Least key >= p of multiplicative order q - 1 (keys below p lie in
+        the prime field), tested by coordinate arithmetic."""
+        n = self.q - 1
+        cofactors, m, d = [], n, 2
+        while d * d <= m:
+            if m % d == 0:
+                cofactors.append(n // d)
+                while m % d == 0:
+                    m //= d
+            d += 1
+        if m > 1:
+            cofactors.append(n // m)
+        return next(g for g in range(self.p, self.q)
+                    if all(self.pow_k(g, e) != 1 for e in cofactors))
+
+    def _log_tables(self):
+        """(exp, log, zech) for a primitive element g, in O(q) steps.
+
+        exp holds g**i for two periods, 0 <= i < 2(q - 1), so that a sum of
+        two logs needs no reduction; zech is None for p = 2 and likewise
+        holds two periods, so that differences of logs shifted by
+        (q - 1) / 2 index it directly.
+        """
+        p, s, q = self.p, self.s, self.q
+        g = self._primitive_key()
+        # multiplication by g is GF(p)-linear: the image of a key is the
+        # digit-wise sum of the images of its low h digits and of its high
+        # s - h digits, each found once by coordinate arithmetic
+        h = (s + 1) // 2
+        P = p ** h
+        exp = array("H", [0]) * (2 * (q - 1))
+        log = array("H", [0]) * q
+        x = 1
+        if p == 2:
+            low = [self.mul_k(k, g) for k in range(P)]
+            high = [self.mul_k(k * P, g) for k in range(q // P)]
+            for i in range(q - 1):
+                exp[i] = x
+                log[x] = i
+                x = low[x & (P - 1)] ^ high[x >> h]
+        else:
+            # images keep their digits re-read in base b = 2p - 1, where the
+            # sum of two never carries; red maps h such digits back to a key
+            b = 2 * p - 1
+            B = b ** h
+
+            def spread(key):
+                return sum(c * b ** i for i, c in enumerate(self.coords_of(key)))
+
+            low = [spread(self.mul_k(k, g)) for k in range(P)]
+            high = [spread(self.mul_k(k * P, g)) for k in range(q // P)]
+            red = [0]
+            for t in range(1, B):
+                red.append(t % b % p + p * red[t // b])
+            for i in range(q - 1):
+                exp[i] = x
+                log[x] = i
+                hi, lo = divmod(x, P)
+                hi, lo = divmod(low[lo] + high[hi], B)
+                x = red[hi] * P + red[lo]
+        if x != 1:
+            raise ArithmeticError(f"{g} is not primitive in {self!r}")
+        exp[q - 1:] = exp[:q - 1]
+        if p == 2:
+            return exp, log, None
+        zech = array("H", [0]) * (2 * (q - 1))
+        for d in range(q - 1):
+            # 1 + g**d: digit 0 of the key of g**d goes up by one mod p
+            y = exp[d] + 1
+            if y % p == 0:
+                y -= p
+            zech[d] = log[y] if y else _NO_LOG
+        zech[q - 1:] = zech[:q - 1]
+        return exp, log, zech
+
     # -- key arithmetic ------------------------------------------------------
 
-    def _build_tables(self):
-        q, p = self.q, self.p
-        if self.s == 1:
-            add = [(a + b) % p for a in range(q) for b in range(q)]
-            mul = [(a * b) % p for a in range(q) for b in range(q)]
-        else:
-            coords = [self.coords_of(k) for k in range(q)]
-            add = [0] * (q * q)
-            mul = [0] * (q * q)
-            mod = self.modulus
-            for a in range(q):
-                ca = coords[a]
-                row = a * q
-                for b in range(a, q):
-                    s_key = self.key_of(_pp_add(_pp_trim(ca), _pp_trim(coords[b]), p)
-                                        + (0,) * self.s)
-                    add[row + b] = s_key
-                    add[b * q + a] = s_key
-                    m_key = self.key_of(
-                        _pp_mod(_pp_mul(_pp_trim(ca), _pp_trim(coords[b]), p), mod, p)
-                        + (0,) * self.s)
-                    mul[row + b] = m_key
-                    mul[b * q + a] = m_key
-        inv = [0] * q
-        for a in range(1, q):
-            row = a * q
-            inv[a] = mul.index(1, row, row + q) - row
-        # the inverse table goes last: _ensure_tables tests it, so a thread
-        # that sees it published also sees the other two
-        self._add_table, self._mul_table = add, mul
-        self._inv_table = inv
-
-    def _ensure_tables(self):
-        if self._inv_table is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        return self._inv_table is not None
-
     def add_k(self, a: int, b: int) -> int:
-        if self._add_table is not None or self._ensure_tables():
-            return self._add_table[a * self.q + b]
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
         if self.s == 1:
-            return (a + b) % p
+            return (a + b) % self.p
+        zech = self._zech
+        if zech is not None:
+            if not a:
+                return b
+            if not b:
+                return a
+            log = self._log
+            la = log[a]
+            z = zech[log[b] - la]
+            return self._exp[la + z] if z != _NO_LOG else 0
         return self.key_of(_pp_add(_pp_trim(self.coords_of(a)),
-                                   _pp_trim(self.coords_of(b)), p) + (0,) * self.s)
+                                   _pp_trim(self.coords_of(b)), self.p) + (0,) * self.s)
 
     def neg_k(self, a: int) -> int:
         p = self.p
@@ -236,9 +293,27 @@ class FieldHandle:
             return a
         if self.s == 1:
             return (-a) % p
+        if self._exp is not None:
+            # -1 = g**((q - 1) / 2)
+            return self._exp[self._log[a] + (self.q >> 1)] if a else 0
         return self.key_of(tuple((-c) % p for c in self.coords_of(a)))
 
     def sub_k(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if self.s == 1:
+            return (a - b) % self.p
+        zech = self._zech
+        if zech is not None:
+            if not b:
+                return a
+            log = self._log
+            lb = log[b] + (self.q >> 1)  # log of -b
+            if not a:
+                return self._exp[lb]
+            la = log[a]
+            z = zech[lb - la]
+            return self._exp[la + z] if z != _NO_LOG else 0
         return self.add_k(a, self.neg_k(b))
 
     def _mul_k_bits(self, a: int, b: int) -> int:
@@ -258,34 +333,36 @@ class FieldHandle:
         return acc
 
     def mul_k(self, a: int, b: int) -> int:
-        if self._mul_table is not None or self._ensure_tables():
-            return self._mul_table[a * self.q + b]
+        if self.s == 1:
+            return a * b % self.p
+        exp = self._exp
+        if exp is not None:
+            if a and b:
+                log = self._log
+                return exp[log[a] + log[b]]
+            return 0
         p = self.p
         if p == 2:
             return self._mul_k_bits(a, b)
-        if self.s == 1:
-            return (a * b) % p
         prod = _pp_mod(_pp_mul(_pp_trim(self.coords_of(a)),
                                _pp_trim(self.coords_of(b)), p), self.modulus, p)
         return self.key_of(prod + (0,) * self.s)
 
-    def _inv_k_generic(self, a: int) -> int:
+    def inv_k(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
         p = self.p
         if self.s == 1:
             return pow(a, p - 2, p)
+        if self._exp is not None:
+            # index -log a reads g**(2(q - 1) - log a), the inverse of a
+            return self._exp[-self._log[a]]
         if p == 2:
             return self.pow_k(a, self.q - 2)
         g, u, _ = _pp_ext_gcd(_pp_trim(self.coords_of(a)), self.modulus, p)
         if g != (1,):
             raise ZeroDivisionError("element not invertible")
         return self.key_of(u + (0,) * self.s)
-
-    def inv_k(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._inv_table is not None or self._ensure_tables():
-            return self._inv_table[a]
-        return self._inv_k_generic(a)
 
     def pow_k(self, a: int, e: int) -> int:
         if e < 0:

@@ -68,8 +68,12 @@ class RamFiltration:
     def parse(cls, text: str, p: int) -> "RamFiltration":
         """Parse the CLI text form, comma-separated orders like ``6,3,3``."""
         text = text.strip()
-        orders = tuple(int(t) for t in text.split(",") if t.strip()) if text else ()
-        return cls(orders, p)
+        if not text:
+            return cls((), p)
+        entries = text.split(",")
+        if not all(t.strip() for t in entries):
+            raise ValueError(f"empty entry in orders {text!r}")
+        return cls(tuple(int(t) for t in entries), p)
 
     @property
     def e(self) -> int:

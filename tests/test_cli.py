@@ -156,6 +156,15 @@ def test_ramification_orders_json(capsys):
     assert row["lemma_bound"] == 9
 
 
+@pytest.mark.parametrize("orders", ["6,,3", ",6,3", "6,3,"])
+def test_ramification_empty_order_entry_is_usage_error(capsys, orders):
+    status, out, err = run_cli(capsys, "ramification", "--orders", orders,
+                               "--p", "3")
+    assert status == 2
+    assert out == ""
+    assert "empty entry" in err
+
+
 def test_ramification_enumerate(capsys):
     status, out, _ = run_cli(capsys, "--format", "json", "ramification",
                              "--enumerate", "--p", "3", "--b", "1", "--w", "1",

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import threading
 import time
@@ -73,14 +74,15 @@ def test_make_field_modulus_is_first_irreducible_by_sympy(p):
 
 
 def test_lazy_tables_safe_under_concurrent_first_use():
-    # each fresh field's tables are built by whichever of the threads gets
-    # there first; a thread must never see a half-published set
+    # a field's tables are complete when its constructor returns, so threads
+    # racing to a fresh field's first operations must all see the same
+    # complete set; this guards against any lazily built state returning
     errors = []
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-3)
     try:
-        for _ in range(5):
-            F = make_field.__wrapped__(3, 4, 0)
+        for p, s in [(3, 4)] * 5 + [(3, 7)]:
+            F = make_field.__wrapped__(p, s, 0)
             inverses = {}
 
             def first_inverse(a):
@@ -101,6 +103,52 @@ def test_lazy_tables_safe_under_concurrent_first_use():
     finally:
         sys.setswitchinterval(old_interval)
     assert errors == []
+
+
+# Every arithmetic path: fields that had q^2 tables, log/Zech-tabled fields
+# of both characteristics up to the 2^16 limit, and the first coordinate
+# arithmetic fields above it.
+KERNEL_FIELDS = [(5, 3), (13, 2), (3, 5), (2, 12), (13, 4), (251, 2),
+                 (2, 16), (257, 2), (2, 17)]
+
+
+@pytest.mark.parametrize("p,s", KERNEL_FIELDS)
+def test_field_ops_match_sympy_galoistools(p, s):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_rem, gf_sub
+
+    F = make_field(p, s, 0)
+    mod = list(reversed(F.modulus))
+
+    def poly(key):  # big-endian GF(p) coefficients, as galoistools keeps them
+        digits = [key // p ** i % p for i in reversed(range(s))]
+        while digits and digits[0] == 0:
+            digits.pop(0)
+        return digits
+
+    def key(coeffs):
+        out = 0
+        for c in coeffs:
+            out = out * p + c
+        return out
+
+    rng = random.Random(f"kernel-oracle:{p}^{s}")
+    # fixed pairs reach a - a = 0 and 1 + (-1) = 0 (the Zech sentinel)
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (1, p - 1), (0, F.q - 1),
+             (F.q - 1, 1), (F.q - 1, F.q - 1)]
+    pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(500 - len(pairs))]
+    for a, b in pairs:
+        pa, pb = poly(a), poly(b)
+        assert F.add_k(a, b) == key(gf_add(pa, pb, p, ZZ)), (a, b)
+        assert F.sub_k(a, b) == key(gf_sub(pa, pb, p, ZZ)), (a, b)
+        assert F.neg_k(a) == key(gf_neg(pa, p, ZZ)), a
+        assert F.mul_k(a, b) == key(gf_rem(gf_mul(pa, pb, p, ZZ), mod, p, ZZ)), (a, b)
+        if a:
+            inverse = poly(F.inv_k(a))
+            assert gf_rem(gf_mul(pa, inverse, p, ZZ), mod, p, ZZ) == [1], a
+    with pytest.raises(ZeroDivisionError):
+        F.inv_k(0)
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),

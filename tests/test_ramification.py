@@ -39,6 +39,12 @@ def test_parse_round_trip():
     assert RamFiltration.parse("", 2).is_unramified()
 
 
+@pytest.mark.parametrize("text", ["6,,3", ",6,3", "6,3,", ",", " , "])
+def test_parse_rejects_empty_entries(text):
+    with pytest.raises(ValueError, match="empty entry"):
+        RamFiltration.parse(text, 3)
+
+
 def test_structure_accessors():
     f = RamFiltration((6, 3, 3), 3)
     assert (f.e, f.a, f.b, f.w) == (6, 3, 2, 1)
