@@ -8,6 +8,7 @@ are exact and pinned here, never recomputed from the code path under test.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import random
 import time
@@ -51,13 +52,30 @@ def _random_nonzero_poly(field, max_deg, rng):
     return Poly(field, keys)
 
 
-def criterion_1_module_axioms() -> AcceptanceResult:
+def _criterion(number: int, name: str, budget: float | None = None):
+    """Wrap a check body as a timed criterion returning an AcceptanceResult.
+
+    The body returns (passed, detail) at its first failure or once it has
+    checked everything; a passing body over its budget (seconds) fails.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def run() -> AcceptanceResult:
+            start = time.monotonic()
+            ok, detail = body()
+            elapsed = time.monotonic() - start
+            if ok and budget is not None and elapsed >= budget:
+                ok, detail = False, f"runtime {elapsed:.2f}s exceeds {budget:g}s budget"
+            return AcceptanceResult(number, name, ok, elapsed, detail)
+        return run
+    return wrap
+
+
+@_criterion(1, "carlitz-module-axioms", budget=10.0)
+def criterion_1_module_axioms():
     """action(M+N) = action(M)+action(N) and action(MN) = action(M) o action(N)."""
-    start = time.monotonic()
     rng = random.Random(20240917)
     pairs = 0
-    ok = True
-    detail = ""
     for q, (p, s) in _SAMPLE_FIELDS.items():
         F = make_field(p, s, 0)
         for _ in range(70):
@@ -66,52 +84,33 @@ def criterion_1_module_axioms() -> AcceptanceResult:
             S = M + N
             if not S.is_zero():
                 if carlitz_action_of(S) != carlitz_action_of(M) + carlitz_action_of(N):
-                    ok, detail = False, f"additivity broke at q={q} M={M} N={N}"
-                    break
+                    return False, f"additivity broke at q={q} M={M} N={N}"
             if carlitz_action_of(M * N) != compose(carlitz_action_of(M),
                                                    carlitz_action_of(N)):
-                ok, detail = False, f"multiplicativity broke at q={q} M={M} N={N}"
-                break
+                return False, f"multiplicativity broke at q={q} M={M} N={N}"
             pairs += 1
-        if not ok:
-            break
-    elapsed = time.monotonic() - start
-    if ok and elapsed >= 10.0:
-        ok, detail = False, f"runtime {elapsed:.2f}s exceeds 10s budget"
-    if ok:
-        detail = f"{pairs} random pairs, q in {{2,3,4}}, deg <= 4"
-    return AcceptanceResult(1, "carlitz-module-axioms", ok, elapsed, detail)
+    return True, f"{pairs} random pairs, q in {{2,3,4}}, deg <= 4"
 
 
-def criterion_2_torsion_degree() -> AcceptanceResult:
+@_criterion(2, "torsion-degree-separability")
+def criterion_2_torsion_degree():
     """z-degree of the torsion polynomial is q**deg(M) and d/dz recovers M."""
-    start = time.monotonic()
     rng = random.Random(4047)
     checked = 0
-    ok = True
-    detail = ""
     for q, (p, s) in _SAMPLE_FIELDS.items():
         F = make_field(p, s, 0)
         for _ in range(60):
             M = _random_nonzero_poly(F, 4, rng)
             rho = torsion_polynomial(M)
             if rho.z_degree() != q ** M.degree or rho.z_derivative() != M:
-                ok, detail = False, f"failed at q={q}, M={M}"
-                break
+                return False, f"failed at q={q}, M={M}"
             checked += 1
-        if not ok:
-            break
-    if ok:
-        detail = f"{checked} sampled moduli"
-    return AcceptanceResult(2, "torsion-degree-separability", ok,
-                            time.monotonic() - start, detail)
+    return True, f"{checked} sampled moduli"
 
 
-def criterion_3_torsion_counts() -> AcceptanceResult:
+@_criterion(3, "torsion-counting-good-places", budget=5.0)
+def criterion_3_torsion_counts():
     """Good-place specializations have exactly q**deg(M) torsion points."""
-    start = time.monotonic()
-    ok = True
-    detail = ""
     checked = 0
     for q in (2, 3):
         p, s = _SAMPLE_FIELDS[q]
@@ -132,90 +131,51 @@ def criterion_3_torsion_counts() -> AcceptanceResult:
                         continue
                     spec = specialize(op, alpha)
                     if spec.derivative().is_zero():
-                        ok, detail = False, f"inseparable at good place M={M} alpha={alpha}"
-                        break
-                    full = None
-                    for m_ext in range(1, 65):
-                        if count_roots_in_ext(spec, m_ext) == target:
-                            full = m_ext
-                            break
-                    if full is None:
-                        ok, detail = False, f"no splitting extension for M={M} alpha={alpha}"
-                        break
+                        return False, f"inseparable at good place M={M} alpha={alpha}"
+                    if not any(count_roots_in_ext(spec, m_ext) == target
+                               for m_ext in range(1, 65)):
+                        return False, f"no splitting extension for M={M} alpha={alpha}"
                     checked += 1
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    elapsed = time.monotonic() - start
-    if ok and elapsed >= 5.0:
-        ok, detail = False, f"runtime {elapsed:.2f}s exceeds 5s budget"
-    if ok:
-        detail = f"{checked} (modulus, place) specializations"
-    return AcceptanceResult(3, "torsion-counting-good-places", ok, elapsed, detail)
+    return True, f"{checked} (modulus, place) specializations"
 
 
-def criterion_4_genus_triangle() -> AcceptanceResult:
+@_criterion(4, "genus-formula-triangle")
+def criterion_4_genus_triangle():
     """Closed form, expanded forms and Hurwitz reassembly agree exactly."""
-    start = time.monotonic()
-    ok = True
-    detail = ""
     cells = 0
     for q in (2, 3, 4, 5, 7, 8, 9):
         for d in range(1, 7):
             direct = cyclotomic_genus(q, d, 1)
             if direct != prime_torsion_genus(q, d) or \
                direct != cyclotomic_genus_via_hurwitz(q, d, 1):
-                ok, detail = False, f"n=1 mismatch at q={q}, d={d}"
-                break
+                return False, f"n=1 mismatch at q={q}, d={d}"
             cells += 1
             for n in range(2, 5):
                 direct = cyclotomic_genus(q, d, n)
                 if direct != prime_power_torsion_genus(q, d, n) or \
                    direct != cyclotomic_genus_via_hurwitz(q, d, n):
-                    ok, detail = False, f"mismatch at q={q}, d={d}, n={n}"
-                    break
+                    return False, f"mismatch at q={q}, d={d}, n={n}"
                 cells += 1
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        detail = f"{cells} exact cells"
-    return AcceptanceResult(4, "genus-formula-triangle", ok,
-                            time.monotonic() - start, detail)
+    return True, f"{cells} exact cells"
 
 
-def criterion_5_mq_estimator() -> AcceptanceResult:
+@_criterion(5, "mq-estimator-trend")
+def criterion_5_mq_estimator():
     """Family-d ratios stay above 2 on [5, 200] and land within 0.1 of 2."""
-    start = time.monotonic()
-    ok = True
-    detail = ""
     for q in (2, 3):
         rows = mq_ratio_sequence(q, "d", range(5, 201), precision=20)
         for row in rows:
             if row.skipped or not row.ratio > 2:
-                ok, detail = False, f"ratio not above 2 at q={q}, d={row.index}"
-                break
-        if not ok:
-            break
+                return False, f"ratio not above 2 at q={q}, d={row.index}"
         final = rows[-1].ratio
         if abs(final - 2) >= decimal.Decimal("0.1"):
-            ok, detail = False, f"|ratio-2| = {abs(final - 2)} at q={q}, d=200"
-            break
-    if ok:
-        detail = "q in {2,3}, d in [5,200], 20-digit decimals"
-    return AcceptanceResult(5, "mq-estimator-trend", ok,
-                            time.monotonic() - start, detail)
+            return False, f"|ratio-2| = {abs(final - 2)} at q={q}, d=200"
+    return True, "q in {2,3}, d in [5,200], 20-digit decimals"
 
 
-def criterion_6_towers() -> AcceptanceResult:
+@_criterion(6, "tower-reproduction", budget=30.0)
+def criterion_6_towers():
     """Both towers reproduce the published locus, bounds and first genus."""
-    start = time.monotonic()
-    ok = True
-    detail = ""
     runs = 0
     for name, qs, g1 in (("y3", (5, 7, 11, 13), 2), ("y4", (3, 5, 7, 9), 3)):
         for q in qs:
@@ -231,28 +191,17 @@ def criterion_6_towers() -> AcceptanceResult:
                 expected.add(factor_poly.keys)
             got = {pt.ident() for pt in s["lambda"]}
             if got != expected:
-                ok, detail = False, f"{name} q={q}: locus {s['lambda'].render()}"
-                break
+                return False, f"{name} q={q}: locus {s['lambda'].render()}"
             if s["degree_sum"] != 5 or s["gamma_bound"] != Fraction(3, 2) \
                or s["bq_lower"] != Fraction(2, 3) or s["first_step_genus"] != g1:
-                ok, detail = False, f"{name} q={q}: numbers off"
-                break
+                return False, f"{name} q={q}: numbers off"
             runs += 1
-        if not ok:
-            break
-    elapsed = time.monotonic() - start
-    if ok and elapsed >= 30.0:
-        ok, detail = False, f"runtime {elapsed:.2f}s exceeds 30s budget"
-    if ok:
-        detail = f"{runs} tower instances, locus/gamma/Bq/first-genus exact"
-    return AcceptanceResult(6, "tower-reproduction", ok, elapsed, detail)
+    return True, f"{runs} tower instances, locus/gamma/Bq/first-genus exact"
 
 
-def criterion_7_ramification_identity() -> AcceptanceResult:
+@_criterion(7, "ramification-identity")
+def criterion_7_ramification_identity():
     """Conductor identity, wild bound and the different lower bound, exhaustively."""
-    start = time.monotonic()
-    ok = True
-    detail = ""
     count = 0
     for p in (2, 3, 5):
         for w in (1, 2):
@@ -264,60 +213,38 @@ def criterion_7_ramification_identity() -> AcceptanceResult:
                     c = conductor_exponent(filt)
                     ident = conductor_via_identity(filt)
                     if ident != c:
-                        ok, detail = False, f"identity broke at {filt} (p={p})"
-                        break
+                        return False, f"identity broke at {filt} (p={p})"
                     if Fraction(c) > Fraction(2 * d, filt.e):
-                        ok, detail = False, f"c > 2d/e at {filt} (p={p})"
-                        break
+                        return False, f"c > 2d/e at {filt} (p={p})"
                     if c >= 2 and d < abelian_different_lower_bound(c, b, p, w):
-                        ok, detail = False, f"different bound broke at {filt} (p={p})"
-                        break
+                        return False, f"different bound broke at {filt} (p={p})"
                     count += 1
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        detail = f"{count} filtrations, exhaustive and exact"
-    return AcceptanceResult(7, "ramification-identity", ok,
-                            time.monotonic() - start, detail)
+    return True, f"{count} filtrations, exhaustive and exact"
 
 
-def criterion_8_splitting_feasibility() -> AcceptanceResult:
+@_criterion(8, "splitting-place-feasibility")
+def criterion_8_splitting_feasibility():
     """Feasibility holds across the (q, genus) grid; fails under t = 4."""
-    start = time.monotonic()
-    ok = True
-    detail = ""
     count = 0
     genera = geometric_samples(2, 10 ** 5, 40)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
         for g in genera:
             report = splitting_place_feasible(q, g)
             if not report.feasible or report.params.t != t_of(q, g):
-                ok, detail = False, f"feasibility failed at q={q}, g={g}"
-                break
+                return False, f"feasibility failed at q={q}, g={g}"
             count += 1
-        if not ok:
-            break
-    if ok and splitting_place_feasible(2, 2, t=4).feasible:
-        ok, detail = False, "t=4 override unexpectedly feasible"
-    if ok:
-        detail = f"{count} (q, g) cells plus the t=4 counterexample"
-    return AcceptanceResult(8, "splitting-place-feasibility", ok,
-                            time.monotonic() - start, detail)
+    if splitting_place_feasible(2, 2, t=4).feasible:
+        return False, "t=4 override unexpectedly feasible"
+    return True, f"{count} (q, g) cells plus the t=4 counterexample"
 
 
-def criterion_9_kernel_oracles() -> AcceptanceResult:
+@_criterion(9, "kernel-oracles")
+def criterion_9_kernel_oracles():
     """Factorization round-trips and extension root counts match brute force."""
-    start = time.monotonic()
     rng = random.Random(90125)
     fields = [make_field(2, 1, 0), make_field(3, 1, 0), make_field(2, 2, 0),
               make_field(5, 1, 0), make_field(7, 1, 0), make_field(2, 3, 0),
               make_field(3, 2, 0)]
-    ok = True
-    detail = ""
     for trial in range(1000):
         F = rng.choice(fields)
         deg = rng.randrange(1, 13)
@@ -326,37 +253,27 @@ def criterion_9_kernel_oracles() -> AcceptanceResult:
         product = Poly.constant(F, f.leading_key())
         for g, mult in factorize(f):
             if not (g.is_monic() and is_irreducible(g)):
-                ok, detail = False, f"non-irreducible factor for {f} over {F!r}"
-                break
+                return False, f"non-irreducible factor for {f} over {F!r}"
             product = product * g ** mult
-        if not ok or product != f:
-            if ok:
-                ok, detail = False, f"round-trip failed for {f} over {F!r} (trial {trial})"
-            break
+        if product != f:
+            return False, f"round-trip failed for {f} over {F!r} (trial {trial})"
     count_checks = 0
-    if ok:
-        for trial in range(40):
-            F = rng.choice(fields)
-            deg = rng.randrange(1, 13)
-            keys = [rng.randrange(F.q) for _ in range(deg)] + [rng.randrange(1, F.q)]
-            f = Poly(F, keys)
-            m = 1
-            while F.q ** (m + 1) <= 4096:
-                m += 1
-            for m_ext in range(1, m + 1):
-                K = make_field(F.p, F.s * m_ext, 0)
-                fk = f.lift(K)
-                brute = sum(1 for e in K.elements() if fk.eval_k(e.key) == 0)
-                if count_roots_in_ext(f, m_ext) != brute:
-                    ok, detail = False, f"root count mismatch for {f}, m={m_ext}"
-                    break
-                count_checks += 1
-            if not ok:
-                break
-    if ok:
-        detail = f"1000 round-trips, {count_checks} exhaustive root counts"
-    return AcceptanceResult(9, "kernel-oracles", ok,
-                            time.monotonic() - start, detail)
+    for trial in range(40):
+        F = rng.choice(fields)
+        deg = rng.randrange(1, 13)
+        keys = [rng.randrange(F.q) for _ in range(deg)] + [rng.randrange(1, F.q)]
+        f = Poly(F, keys)
+        m = 1
+        while F.q ** (m + 1) <= 4096:
+            m += 1
+        for m_ext in range(1, m + 1):
+            K = make_field(F.p, F.s * m_ext, 0)
+            fk = f.lift(K)
+            brute = sum(1 for e in K.elements() if fk.eval_k(e.key) == 0)
+            if count_roots_in_ext(f, m_ext) != brute:
+                return False, f"root count mismatch for {f}, m={m_ext}"
+            count_checks += 1
+    return True, f"1000 round-trips, {count_checks} exhaustive root counts"
 
 
 CRITERIA = (

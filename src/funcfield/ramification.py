@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .intbounds import is_prime
+
 
 def _p_adic_split(n: int, p: int) -> tuple[int, int]:
     """Write n = b * p**w with p not dividing b."""
@@ -43,7 +45,7 @@ class RamFiltration:
     p: int
 
     def __post_init__(self):
-        if self.p < 2:
+        if not is_prime(self.p):
             raise ValueError("characteristic must be a prime")
         orders = tuple(self.orders)
         object.__setattr__(self, "orders", orders)

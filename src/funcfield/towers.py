@@ -1,21 +1,22 @@
 """Recursive towers f(Y) = h(X): ramification locus and tower genus bounds.
 
 Points of the projective line over the algebraic closure are carried as
-conjugacy classes over the base field: a class is identified by its minimal
-polynomial, with a deterministic representative (the least-key root in the
-least-degree extension).  Set semantics and degree accounting per class make
-the closure computation independent of worklist order and of the ambient
-extension chosen for any intermediate root.
+conjugacy classes over the base field: a finite class is its monic minimal
+polynomial and nothing else.  The closure step works on these polynomials
+over the base field (the norm trick of Trager, "Algebraic factoring and
+rational function integration", 1976), so it never builds an extension
+field.  Set semantics and degree accounting per class make the closure
+computation independent of worklist order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .factor import factorize, minimal_polynomial, roots_in
-from .field import FieldHandle, embed_keys, make_field
+from .factor import factorize, is_irreducible, minimal_polynomial
+from .field import FieldHandle, make_field
 from .genus import GenusResult, RamSummary, hurwitz
 from .intbounds import prime_power_decompose
 from .poly import Poly
@@ -41,35 +42,30 @@ class ProjPoint:
     """A point of the projective line, as a conjugacy class over the base.
 
     Either the infinite point, or a finite class identified by its monic
-    minimal polynomial over the base field together with the canonical
-    representative value in the least-degree extension.
+    minimal polynomial over the base field.
     """
 
-    __slots__ = ("base", "min_poly", "field", "value_key")
+    __slots__ = ("base", "min_poly")
 
-    def __init__(self, base, min_poly, field, value_key):
+    def __init__(self, base, min_poly):
         self.base = base
-        self.min_poly = min_poly      # Poly over base, or None for infinity
-        self.field = field            # FieldHandle of the representative
-        self.value_key = value_key    # key of the representative, or None
+        self.min_poly = min_poly      # monic Poly over base, or None for infinity
 
     @classmethod
     def infinity(cls, base: FieldHandle) -> "ProjPoint":
-        return cls(base, None, None, None)
+        return cls(base, None)
 
     @classmethod
     def from_min_poly(cls, base: FieldHandle, min_poly: Poly) -> "ProjPoint":
-        """Canonical class point: least-key root in the least-degree field."""
+        """The class of the roots of an irreducible polynomial over base."""
         if min_poly.field != base:
             raise ValueError("minimal polynomial must live over the base field")
         deg = min_poly.degree
         if deg is None or deg < 1:
             raise ValueError("minimal polynomial must be nonconstant")
-        rep_field = make_field(base.p, base.s * deg, 0)
-        roots = roots_in(min_poly, rep_field)
-        if not roots:
+        if not is_irreducible(min_poly):
             raise ValueError("polynomial is not irreducible over the base")
-        return cls(base, min_poly.monic(), rep_field, roots[0].key)
+        return cls(base, min_poly.monic())
 
     @classmethod
     def from_value(cls, value, base: FieldHandle) -> "ProjPoint":
@@ -132,9 +128,6 @@ class ClosureSet:
     def __contains__(self, pt: ProjPoint):
         return any(p == pt for p in self.points)
 
-    def union(self, points) -> "ClosureSet":
-        return ClosureSet(self.base, tuple(self.points) + tuple(points))
-
     def render(self) -> list[str]:
         return [pt.render() for pt in self.points]
 
@@ -183,26 +176,15 @@ class RationalMap:
         """The map Y**e."""
         return cls(Poly.monomial(field, 1, e), Poly.one(field))
 
-    def value_at_infinity(self, ext: FieldHandle):
-        """Projective value at the infinite point, as a key of ext or None (= infinity)."""
+    def value_at_infinity(self):
+        """Projective value at the infinite point, as a key or None (= infinity)."""
         dn, dd = self.num.degree, self.den.degree
         if dn > dd:
             return None
         if dn < dd:
             return 0
-        ratio = self.field.mul_k(self.num.leading_key(),
-                                 self.field.inv_k(self.den.leading_key()))
-        return embed_keys(self.field, ext, (ratio,))[0]
-
-    def value_at(self, ext: FieldHandle, key: int):
-        """Projective value at a finite point, as a key of ext or None (= infinity)."""
-        num_l = self.num.lift(ext)
-        den_l = self.den.lift(ext)
-        dv = den_l.eval_k(key)
-        nv = num_l.eval_k(key)
-        if dv == 0:
-            return None  # coprimality keeps nv nonzero
-        return ext.mul_k(nv, ext.inv_k(dv))
+        return self.field.mul_k(self.num.leading_key(),
+                                self.field.inv_k(self.den.leading_key()))
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
@@ -243,53 +225,68 @@ def kummer_ramified(e: int, h: RationalMap) -> ClosureSet:
     return ClosureSet(base, points)
 
 
+def _image_min_poly(f: RationalMap, beta: ProjPoint):
+    """Minimal polynomial of f(beta) over the base, or None for infinity.
+
+    In A = F[Z]/(m), m = beta.min_poly, v = f(Z) is f at a root of m, and
+    prod (T - w) over the Frobenius orbit w = v, v**q, ... lies in F[T]."""
+    base = f.field
+    if beta.is_infinity():
+        value = f.value_at_infinity()
+        return None if value is None else Poly(base, (base.neg_k(value), 1))
+    m = beta.min_poly
+    den = f.den % m
+    if den.is_zero():
+        return None  # coprimality keeps the numerator nonzero at beta
+    q = base.q
+    v = (f.num % m) * den.pow_mod(q ** m.degree - 2, m) % m
+    orbit = [v]
+    while (w := orbit[-1].pow_mod(q, m)) != v:
+        orbit.append(w)
+    coeffs = [Poly.one(base)]
+    for w in orbit:
+        shifted = [Poly.zero(base)] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] = shifted[i] - c * w % m
+        coeffs = shifted
+    return Poly(base, [(c.keys or (0,))[0] for c in coeffs])
+
+
 def _solutions_for(f: RationalMap, h: RationalMap, beta: ProjPoint,
                    max_ext: int) -> list[ProjPoint]:
-    """All classes alpha with h(alpha) = f(beta), by projective case analysis."""
+    """All classes alpha with h(alpha) = f(beta), over the base field.
+
+    With mu the minimal polynomial of f(beta), d = deg mu and h = num/den,
+    the finite alpha are the irreducible factors of den**d * mu(num/den).
+    Each alpha must fit lcm(deg beta, deg alpha) <= max_ext."""
     base = h.field
     out: list[ProjPoint] = []
-    if beta.is_infinity():
-        ext = base
-        value = f.value_at_infinity(base)
-    else:
-        ext = beta.field
-        value = f.value_at(ext, beta.value_key)
-
-    if value is None:
+    mu = _image_min_poly(f, beta)
+    if mu is None:
         # h(alpha) must be the infinite point: poles of h, maybe infinity
         if h.den.degree > 0:
             for factor_poly, _ in factorize(h.den):
-                out.append(ProjPoint.from_min_poly(base, factor_poly))
+                out.append(ProjPoint(base, factor_poly))
         if h.num.degree > h.den.degree:
             out.append(ProjPoint.infinity(base))
         return out
 
-    # finite target value v in ext: roots of num - v*den over ext
-    num_l = h.num.lift(ext)
-    den_l = h.den.lift(ext)
-    g = num_l - den_l.scale_k(value)
-    if g.is_zero():
-        raise ValueError("rational map is constant")
-    rel_degree = ext.s // base.s
-    if g.degree and g.degree > 0:
-        for factor_poly, _ in factorize(g):
-            fdeg = factor_poly.degree
-            total = rel_degree * fdeg
-            if total > max_ext:
-                raise ClosureBudgetError(
-                    "extension",
-                    f"solution class needs extension degree {total} > max_ext={max_ext}")
-            big = make_field(base.p, base.s * total, 0)
-            for root in roots_in(factor_poly, big):
-                out.append(ProjPoint.from_value(root, base))
-    # alpha = infinity solves h(alpha) = v iff the leading behavior matches
-    dn, dd = h.num.degree, h.den.degree
-    if dn < dd and value == 0:
+    # g = sum_k mu_k * num**k * den**(d-k), by Horner's rule in num
+    g = Poly.one(base)
+    den_power = g
+    for c in reversed(mu.keys[:-1]):
+        den_power = den_power * h.den
+        g = g * h.num + den_power.scale_k(c)
+    for factor_poly, _ in factorize(g):
+        total = lcm(beta.degree, factor_poly.degree)
+        if total > max_ext:
+            raise ClosureBudgetError(
+                "extension",
+                f"solution class needs extension degree {total} > max_ext={max_ext}")
+        out.append(ProjPoint(base, factor_poly))
+    at_infinity = h.value_at_infinity()
+    if at_infinity is not None and mu.eval_k(at_infinity) == 0:
         out.append(ProjPoint.infinity(base))
-    elif dn == dd:
-        ratio = base.mul_k(h.num.leading_key(), base.inv_k(h.den.leading_key()))
-        if embed_keys(base, ext, (ratio,))[0] == value:
-            out.append(ProjPoint.infinity(base))
     return out
 
 

@@ -16,3 +16,11 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criterion_reports_first_failure(monkeypatch):
+    monkeypatch.setattr(acceptance, "cyclotomic_genus", lambda q, d, n: -1)
+    result = acceptance.criterion_4_genus_triangle()
+    assert result.passed is False
+    assert (result.number, result.name) == (4, "genus-formula-triangle")
+    assert result.detail == "n=1 mismatch at q=2, d=1"

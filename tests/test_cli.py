@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,14 @@ def test_ramification_empty_order_entry_is_usage_error(capsys, orders):
     assert "empty entry" in err
 
 
+def test_ramification_composite_characteristic_is_usage_error(capsys):
+    status, out, err = run_cli(capsys, "ramification", "--orders", "8,4",
+                               "--p", "4")
+    assert status == 2
+    assert out == ""
+    assert "must be a prime" in err
+
+
 def test_ramification_enumerate(capsys):
     status, out, _ = run_cli(capsys, "--format", "json", "ramification",
                              "--enumerate", "--p", "3", "--b", "1", "--w", "1",
@@ -245,3 +254,18 @@ def test_output_file_writing(capsys, tmp_path):
     assert status == 0
     assert path.read_text().splitlines()[1] == "3,2,1,8,2,2"
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "5", "--e", "2", "--f", "x^2", "--h", "x^2+1/x", "--max-ext", "24"],
+    ["--q", "7", "--e", "3", "--f", "x^3", "--h", "x^3+x+1/x^2", "--max-ext", "24"],
+    ["--q", "3", "--e", "2", "--f", "x^2", "--h", "x+2*x^3/1", "--max-ext", "27"],
+])
+def test_large_max_ext_towers_overflow_quickly(capsys, argv):
+    start = time.monotonic()
+    status, out, err = run_cli(capsys, "tower", *argv)
+    elapsed = time.monotonic() - start
+    assert status == 3
+    assert out == ""
+    assert "budget overflow (extension)" in err
+    assert elapsed <= 10.0

@@ -32,6 +32,12 @@ def test_filtration_validation():
         RamFiltration((4,), 1)            # characteristic below 2
 
 
+@pytest.mark.parametrize("p", [4, 6, 9])
+def test_filtration_rejects_composite_characteristic(p):
+    with pytest.raises(ValueError, match="must be a prime"):
+        RamFiltration((8, 4), p)
+
+
 def test_parse_round_trip():
     f = RamFiltration.parse("6,3,3", 3)
     assert f.orders == (6, 3, 3)

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from funcfield.factor import factorize
-from funcfield.field import make_field
+from funcfield.factor import factorize, is_irreducible, minimal_polynomial, roots_in
+from funcfield.field import FieldElement, make_field
 from funcfield.poly import Poly
 from funcfield.towers import (ClosureBudgetError, ClosureSet, ProjPoint,
                               RationalMap, WildKummerError, bq_lower_bound,
@@ -11,7 +12,7 @@ from funcfield.towers import (ClosureBudgetError, ClosureSet, ProjPoint,
                               first_step_genus, gamma_upper_bound,
                               genus_growth_lower_bounds, kummer_ramified,
                               tameness_check, tower_summary)
-from funcfield.towers import _solutions_for
+from funcfield.towers import _image_min_poly, _solutions_for
 
 F3 = make_field(3, 1, 0)
 F5 = make_field(5, 1, 0)
@@ -241,7 +242,6 @@ def test_point_canonicalization_across_ambient_fields():
     base = F5
     F25 = make_field(5, 2, 0)
     F625 = make_field(5, 4, 0)
-    from funcfield.factor import roots_in
     quad = Poly(base, (1, 1, 1))
     r25 = roots_in(quad, F25)[0]
     r625 = roots_in(quad.lift(F25), F625)[0]
@@ -249,7 +249,6 @@ def test_point_canonicalization_across_ambient_fields():
     p2 = ProjPoint.from_value(r625, base)
     assert p1 == p2
     assert p1.degree == 2
-    assert p1.field.q == 25
 
 
 def test_closure_set_rendering_sorted():
@@ -261,3 +260,54 @@ def test_closure_set_rendering_sorted():
     # rebuilding from shuffled points reproduces the same canonical order
     shuffled = ClosureSet(spec.base, list(reversed(lam.points)))
     assert shuffled.render() == rendered
+
+
+def _random_poly(rng, field, degree):
+    return Poly(field, [rng.randrange(field.q) for _ in range(degree)]
+                + [rng.randrange(1, field.q)])
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_image_min_poly_matches_root_oracle(p, s):
+    # mu computed in F[Z]/(m) against the minimal polynomial of f at an
+    # explicit root of m in GF(q^r)
+    base = make_field(p, s, 0)
+    rng = random.Random(6000 + base.q)
+    for _ in range(30):
+        r = rng.randrange(1, 5)
+        m = _random_poly(rng, base, r).monic()
+        while not is_irreducible(m):
+            m = _random_poly(rng, base, r).monic()
+        f = RationalMap(_random_poly(rng, base, rng.randrange(0, 4)),
+                        _random_poly(rng, base, rng.randrange(0, 4)))
+        K = make_field(p, s * r, 0)
+        b = roots_in(m, K)[0].key
+        nv = f.num.lift(K).eval_k(b)
+        dv = f.den.lift(K).eval_k(b)
+        expected = None if dv == 0 else \
+            minimal_polynomial(FieldElement(K, K.mul_k(nv, K.inv_k(dv))), base)
+        assert _image_min_poly(f, ProjPoint(base, m)) == expected, (m, f)
+
+
+def test_closure_builds_no_field():
+    # the locus has a degree-4 class over GF(27), whose roots lie in GF(3^12)
+    base = make_field(3, 3, 0)
+    f = RationalMap.power(base, 5)
+    h = RationalMap(Poly(base, (2, 2, 1)), Poly(base, (0, 2)))
+    seed = kummer_ramified(5, h)
+    misses = make_field.cache_info().misses
+    lam = closure(f, h, seed, max_ext=5)
+    assert make_field.cache_info().misses == misses
+    assert sorted(pt.degree for pt in lam) == [1, 1, 2, 2, 4]
+
+
+def test_extension_budget_is_lcm_of_class_degrees():
+    # beta = i over GF(3) has beta^2 = 2 in the base; h = 2 at the roots of
+    # the cubic x^3+2x+2, which share a field with i only in GF(3^6)
+    f = RationalMap.power(F3, 2)
+    h = RationalMap(Poly(F3, (1, 2, 0, 1)), Poly.one(F3))
+    beta = point(F3, 1, 0, 1)
+    with pytest.raises(ClosureBudgetError) as info:
+        _solutions_for(f, h, beta, 5)
+    assert "extension degree 6 > max_ext=5" in str(info.value)
+    assert {p.render() for p in _solutions_for(f, h, beta, 6)} == {"2 + 2*x + x^3"}
