@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 from .field import FieldElement, FieldHandle, preimage_keys
+from .intbounds import prime_divisors
 from .poly import Poly
 
 _SPLIT_SEED = 0x5EED
@@ -41,18 +42,7 @@ def is_irreducible(f: Poly) -> bool:
     h = _frobenius_power(x, fm, n, q)
     if not (h - x).is_zero():
         return False
-    ell = 2
-    m = n
-    checked = set()
-    while ell * ell <= m:
-        if m % ell == 0:
-            checked.add(ell)
-            while m % ell == 0:
-                m //= ell
-        ell += 1
-    if m > 1:
-        checked.add(m)
-    for ell in checked:
+    for ell in prime_divisors(n):
         h = _frobenius_power(x, fm, n // ell, q)
         if (h - x).gcd(fm).degree != 0:
             return False

@@ -13,7 +13,11 @@ multiplicative order q - 1): a product is exp[log a + log b], and for odd p
 a sum is exp[log a + zech[log b - log a]] with the Zech logarithm
 zech[d] = log(1 + g**d); in characteristic 2 a sum is the XOR of the keys.
 The limit is the width of the 16-bit table entries.  Larger extension
-fields use coordinate arithmetic.  The embedding between two fields is
+fields work on coordinates.  For p = 2 a key is the GF(2)[t] bit polynomial,
+and a product is a carry-free multiply reduced by the modulus bits.  For odd
+p a sum adds coordinates digit-wise, and a product or an inverse is taken by
+funcfield.poly.Poly over GF(p) modulo the modulus; the table build uses the
+same path before its tables exist.  The embedding between two fields is
 stored as one key, the image of the source generator, found on first use
 per field pair.  A field never changes after its constructor returns, so
 it is safe to share across threads.
@@ -24,95 +28,11 @@ from __future__ import annotations
 import functools
 from array import array
 
-from .intbounds import is_prime
+from .intbounds import is_prime, prime_divisors
 
 _TABLE_LIMIT = 1 << 16  # log/antilog/Zech entries are 16-bit ("H") values
 _NO_LOG = 0xFFFF        # Zech entry where 1 + g**d = 0, which has no log
 _SEARCH_CAP = 2_000_000
-
-
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over GF(p) on little-endian int tuples.  Only used for
-# coordinate arithmetic; public polynomial arithmetic over arbitrary fields,
-# and the irreducibility test that picks moduli, live in funcfield.poly and
-# funcfield.factor.
-
-def _pp_trim(c):
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _pp_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _pp_trim(out)
-
-
-def _pp_sub(a, b, p):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _pp_trim(out)
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                if v:
-                    out[i + j] = (out[i + j] + u * v) % p
-    return _pp_trim(out)
-
-
-def _pp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if len(a) < len(b):
-        return (), _pp_trim(a)
-    rem = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p) if p > 2 else b[-1]
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        coef = rem[i]
-        if coef:
-            factor = (coef * inv_lead) % p
-            quo[i - db] = factor
-            for j, v in enumerate(b):
-                rem[i - db + j] = (rem[i - db + j] - factor * v) % p
-    return _pp_trim(quo), _pp_trim(rem)
-
-
-def _pp_mod(a, b, p):
-    return _pp_divmod(a, b, p)[1]
-
-
-def _pp_ext_gcd(a, b, p):
-    # returns (g, u, v) with u*a + v*b = g, g monic
-    r0, r1 = _pp_trim(a), _pp_trim(b)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _pp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _pp_sub(s0, _pp_mul(q, s1, p), p)
-        t0, t1 = t1, _pp_sub(t0, _pp_mul(q, t1, p), p)
-    if r0:
-        inv_lead = pow(r0[-1], p - 2, p) if p > 2 else r0[-1]
-        scale = lambda c: tuple((v * inv_lead) % p for v in c)
-        return scale(r0), scale(s0), scale(t0)
-    return r0, s0, t0
-
-
-# ---------------------------------------------------------------------------
 
 
 class FieldHandle:
@@ -122,15 +42,21 @@ class FieldHandle:
     FieldElement wrapper provides operator syntax on top of them.
     """
 
-    __slots__ = ("p", "s", "modulus", "q", "_exp", "_log", "_zech", "_mod_int")
+    __slots__ = ("p", "s", "modulus", "q", "_exp", "_log", "_zech", "_mod_int",
+                 "_mod_poly")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
         self.s = s
         self.modulus = modulus
         self.q = p ** s
-        # in characteristic 2 a key IS the GF(2)[t] bit polynomial
+        # in characteristic 2 a key IS the GF(2)[t] bit polynomial; for odd
+        # p the modulus is a Poly over GF(p), which mul_k and inv_k reduce by
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
+        self._mod_poly = None
+        if p != 2 and s > 1:
+            from .poly import Poly
+            self._mod_poly = Poly(make_field(p, 1, 0), modulus)
         # the table build multiplies through the coordinate path, which
         # mul_k takes while these are None
         self._exp = self._log = self._zech = None
@@ -195,15 +121,7 @@ class FieldHandle:
         """Least key >= p of multiplicative order q - 1 (keys below p lie in
         the prime field), tested by coordinate arithmetic."""
         n = self.q - 1
-        cofactors, m, d = [], n, 2
-        while d * d <= m:
-            if m % d == 0:
-                cofactors.append(n // d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            cofactors.append(n // m)
+        cofactors = [n // d for d in prime_divisors(n)]
         return next(g for g in range(self.p, self.q)
                     if all(self.pow_k(g, e) != 1 for e in cofactors))
 
@@ -284,8 +202,8 @@ class FieldHandle:
             la = log[a]
             z = zech[log[b] - la]
             return self._exp[la + z] if z != _NO_LOG else 0
-        return self.key_of(_pp_add(_pp_trim(self.coords_of(a)),
-                                   _pp_trim(self.coords_of(b)), self.p) + (0,) * self.s)
+        # key_of reduces each digit mod p
+        return self.key_of(x + y for x, y in zip(self.coords_of(a), self.coords_of(b)))
 
     def neg_k(self, a: int) -> int:
         p = self.p
@@ -316,6 +234,11 @@ class FieldHandle:
             return self._exp[la + z] if z != _NO_LOG else 0
         return self.add_k(a, self.neg_k(b))
 
+    def _coord_poly(self, a: int):
+        # the coordinates of a as a Poly over GF(p), for odd p and s > 1
+        M = self._mod_poly
+        return type(M)(M.field, self.coords_of(a))
+
     def _mul_k_bits(self, a: int, b: int) -> int:
         # carry-free multiply then reduce by the modulus bit polynomial
         acc = 0
@@ -341,12 +264,10 @@ class FieldHandle:
                 log = self._log
                 return exp[log[a] + log[b]]
             return 0
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return self._mul_k_bits(a, b)
-        prod = _pp_mod(_pp_mul(_pp_trim(self.coords_of(a)),
-                               _pp_trim(self.coords_of(b)), p), self.modulus, p)
-        return self.key_of(prod + (0,) * self.s)
+        M = self._mod_poly
+        return self.key_of((self._coord_poly(a) * self._coord_poly(b) % M).keys)
 
     def inv_k(self, a: int) -> int:
         if a == 0:
@@ -359,10 +280,7 @@ class FieldHandle:
             return self._exp[-self._log[a]]
         if p == 2:
             return self.pow_k(a, self.q - 2)
-        g, u, _ = _pp_ext_gcd(_pp_trim(self.coords_of(a)), self.modulus, p)
-        if g != (1,):
-            raise ZeroDivisionError("element not invertible")
-        return self.key_of(u + (0,) * self.s)
+        return self.key_of(self._coord_poly(a).inverse_mod(self._mod_poly).keys)
 
     def pow_k(self, a: int, e: int) -> int:
         if e < 0:
@@ -375,9 +293,6 @@ class FieldHandle:
             a = self.mul_k(a, a)
             e >>= 1
         return result
-
-    def frobenius_k(self, a: int) -> int:
-        return self.pow_k(a, self.p)
 
     def render_key(self, key: int) -> str:
         if self.s == 1:

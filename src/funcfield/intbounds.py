@@ -29,6 +29,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1 in increasing order, by trial
+    division."""
+    if n < 1:
+        raise ValueError("prime_divisors needs n >= 1")
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def prime_power_decompose(q: int) -> tuple[int, int]:
     """Write q = p**s with p prime, or raise ValueError."""
     if q < 2:

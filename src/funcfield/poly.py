@@ -193,6 +193,24 @@ class Poly:
             e >>= 1
         return result
 
+    def inverse_mod(self, mod: "Poly") -> "Poly":
+        """Inverse of self modulo mod, by the extended Euclidean algorithm.
+
+        Raises ZeroDivisionError when gcd(self, mod) != 1.
+        """
+        mod = self._check(mod)
+        F = self.field
+        # invariant: s0 * self = r0 and s1 * self = r1 modulo mod
+        r0, r1 = mod, self % mod
+        s0, s1 = Poly.zero(F), Poly.one(F)
+        while r1.keys:
+            quo, rem = divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, s0 - quo * s1
+        if r0.degree != 0:
+            raise ZeroDivisionError("polynomial is not invertible modulo mod")
+        return s0.scale_k(F.inv_k(r0.keys[0]))
+
     def gcd(self, other: "Poly") -> "Poly":
         other = self._check(other)
         a, b = self, other

@@ -239,7 +239,7 @@ def _image_min_poly(f: RationalMap, beta: ProjPoint):
     if den.is_zero():
         return None  # coprimality keeps the numerator nonzero at beta
     q = base.q
-    v = (f.num % m) * den.pow_mod(q ** m.degree - 2, m) % m
+    v = (f.num % m) * den.inverse_mod(m) % m
     orbit = [v]
     while (w := orbit[-1].pow_mod(q, m)) != v:
         orbit.append(w)

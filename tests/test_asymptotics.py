@@ -9,8 +9,8 @@ from funcfield.asymptotics import (ChebotarevParams, chebotarev_lower,
                                    splitting_place_feasible, t_of)
 from funcfield.genus import prime_torsion_genus
 from funcfield.intbounds import (ceil_log, ceil_root, floor_log,
-                                 geometric_samples, iroot, root_bracket,
-                                 scaled_power_le)
+                                 geometric_samples, iroot, prime_divisors,
+                                 root_bracket, scaled_power_le)
 
 
 def test_iroot_and_ceil_root():
@@ -32,6 +32,14 @@ def test_integer_logs():
     assert ceil_log(2, 1024) == 10
     assert ceil_log(2, 1025) == 11
     assert ceil_log(3, 1) == 0
+
+
+def test_prime_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 10 ** 4 + 1):
+        assert prime_divisors(n) == sympy.primefactors(n), n
+    with pytest.raises(ValueError):
+        prime_divisors(0)
 
 
 def test_root_bracket_contains_and_shrinks():

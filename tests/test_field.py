@@ -106,10 +106,10 @@ def test_lazy_tables_safe_under_concurrent_first_use():
 
 
 # Every arithmetic path: fields that had q^2 tables, log/Zech-tabled fields
-# of both characteristics up to the 2^16 limit, and the first coordinate
-# arithmetic fields above it.
+# of both characteristics up to the 2^16 limit, and coordinate arithmetic
+# fields above it (Poly over GF(p) for odd p, bit operations for p = 2).
 KERNEL_FIELDS = [(5, 3), (13, 2), (3, 5), (2, 12), (13, 4), (251, 2),
-                 (2, 16), (257, 2), (2, 17)]
+                 (2, 16), (257, 2), (2, 17), (3, 11)]
 
 
 @pytest.mark.parametrize("p,s", KERNEL_FIELDS)

@@ -91,19 +91,27 @@ def test_ray_class_degree_examples():
 
 
 def test_ray_class_degree_can_be_fractional():
-    # callers asserting a field degree must check integrality themselves
+    # callers asserting a field degree must check integrality themselves, so
+    # the value is an exact Fraction even when it is whole: phi = 4 - 1 = 3
     value = ray_class_degree(1, 1, 4, DivisorShape.of((1, 1)))
-    assert value == Fraction(1, 1) or value.denominator >= 1
+    assert isinstance(value, Fraction)
+    assert value == 1
 
 
 def test_ray_class_genus_single_place_branch():
     assert ray_class_genus(1, 0, 4, DivisorShape.of((1, 2))) == Fraction(4, 3)
     assert ray_class_genus(1, 1, 2, DivisorShape.of((1, 1))) == 3
+    # a degree-2 place to the second power over GF(3): phi(D) = 9 * 8 = 72,
+    # phi(Q) = 8, w = (72/8 - 3 - 2) * 2 = 8, g = 1 + (72 * 2 - 8) / 4
+    assert ray_class_genus(1, 0, 3, DivisorShape.of((2, 2))) == 35
 
 
 def test_ray_class_genus_multi_place_branch():
     D = DivisorShape.of((1, 1), (1, 1))
     assert ray_class_genus(1, 0, 2, D) == 0
+    # a degree-2 and a degree-1 place over GF(3): phi(D) = 8 * 2 = 16,
+    # w = 16 * 2/8 + 16 * 1/2 = 12, g = 1 + (16 * 1 - 12) / 4
+    assert ray_class_genus(1, 0, 3, DivisorShape.of((2, 1), (1, 1))) == 2
     with pytest.raises(ValueError):
         ray_class_genus(1, 0, 2, DivisorShape.empty())
 

@@ -7,6 +7,7 @@ from funcfield.poly import Poly, parse_poly
 
 F2 = make_field(2, 1, 0)
 F3 = make_field(3, 1, 0)
+F4 = make_field(2, 2, 0)
 F9 = make_field(3, 2, 0)
 
 
@@ -102,6 +103,60 @@ def test_pow_mod_matches_pow():
             continue
         e = rng.randrange(0, 30)
         assert f.pow_mod(e, m) == (f ** e) % m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_inverse_mod_matches_sympy_gcdex(p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcdex, gf_rem
+
+    def big(f):  # galoistools keeps coefficients big-endian
+        return list(reversed(f.keys))
+
+    F = make_field(p, 1, 0)
+    rng = random.Random(f"inverse-mod:{p}")
+    coprime = 0
+    for _ in range(200):
+        a = rand_poly(F, 6, rng)
+        m = rand_poly(F, 6, rng, nonzero=True)
+        s, _, h = gf_gcdex(big(a), big(m), p, ZZ)
+        if m.degree > 0 and h == [1]:
+            coprime += 1
+            assert big(a.inverse_mod(m)) == gf_rem(s, big(m), p, ZZ), (a, m)
+        elif m.degree > 0:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse_mod(m)
+    assert coprime >= 50
+
+
+@pytest.mark.parametrize("F", [F4, F9], ids=repr)
+def test_inverse_mod_matches_fermat_power(F):
+    from funcfield.factor import is_irreducible
+
+    q = F.q
+    rng = random.Random(f"inverse-fermat:{q}")
+    degrees = set()
+    for _ in range(40):
+        d = rng.randrange(1, 5)
+        m = Poly(F, [rng.randrange(q) for _ in range(d)] + [1])
+        if not is_irreducible(m):
+            continue
+        degrees.add(d)
+        a = rand_poly(F, d - 1, rng, nonzero=True)
+        assert a.inverse_mod(m) == a.pow_mod(q ** d - 2, m), (a, m)
+        assert (a * a.inverse_mod(m)) % m == Poly.one(F)
+    assert {1, 2, 3} <= degrees
+
+
+def test_inverse_mod_rejects_non_coprime_pair():
+    x_plus_1 = Poly(F3, (1, 1))
+    with pytest.raises(ZeroDivisionError):
+        x_plus_1.inverse_mod(x_plus_1 * Poly(F3, (2, 1)))
+    with pytest.raises(ZeroDivisionError):
+        Poly.zero(F3).inverse_mod(Poly(F3, (1, 0, 1)))
+    with pytest.raises(ZeroDivisionError):
+        x_plus_1.inverse_mod(Poly.zero(F3))
 
 
 def test_rendering_canonical_ascending():
